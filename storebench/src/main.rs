@@ -8,9 +8,10 @@
 //! Drives the full stack (client → ipc → plasma server → disagg routing →
 //! rpclite → peer plasma/memalloc → tfsim mapped fabric) of a
 //! `ClusterConfig::paper_testbed` cluster from one thread with one op
-//! outstanding. Prints a human-readable report, then as its last line one
-//! JSON object: end-to-end metrics with `--trace 0`, per-layer metrics
-//! with `--trace 1`. See RATIONALE.md for the workloads and metrics.
+//! outstanding, the whole process pinned to one CPU. Prints a
+//! human-readable report, then as its last line one JSON object:
+//! end-to-end metrics with `--trace 0`, per-layer metrics with
+//! `--trace 1`. See RATIONALE.md for the workloads and metrics.
 
 mod attrib;
 mod inputs;
@@ -74,12 +75,13 @@ fn parse_args() -> Result<Args, String> {
 }
 
 /// Steps (see `Harness::step`) of warm-up, of the deterministic window,
-/// and per timed block (the unit the traced run alternates on).
-fn plan(w: Workload) -> (usize, usize, usize) {
+/// per timed block (the unit the traced run alternates on), and blocks
+/// per timed window (the unit the wall metrics take medians over).
+fn plan(w: Workload) -> (usize, usize, usize, u64) {
     match w {
-        Workload::ReadSkewed => (1_000, 4_000, 200),
-        Workload::PutChurn => (500, 2_000, 100),
-        Workload::Shuffle => (4, 100, 4),
+        Workload::ReadSkewed => (1_000, 4_000, 200, 10),
+        Workload::PutChurn => (500, 2_000, 100, 10),
+        Workload::Shuffle => (4, 100, 4, 10),
     }
 }
 
@@ -94,17 +96,58 @@ fn main() {
             std::process::exit(2);
         }
     };
-    if let Err(e) = run(&args) {
+    let cpu = match pin_to_one_cpu() {
+        Ok(cpu) => cpu,
+        Err(e) => {
+            eprintln!("storebench: pinning to one CPU: {e}");
+            std::process::exit(1);
+        }
+    };
+    if let Err(e) = run(&args, cpu) {
         eprintln!("storebench: {e}");
         std::process::exit(1);
     }
 }
 
-fn run(args: &Args) -> Result<(), plasma::PlasmaError> {
+/// Restricts this process, and every thread it starts later, to the
+/// lowest-numbered CPU it may run on; returns that CPU.
+///
+/// With one op outstanding the request path is a chain of thread
+/// hand-offs (driver → ipc server → rpclite → peer). Spread over two
+/// vCPUs of a shared host, each hand-off wakes an idle vCPU, and the
+/// host's delay in scheduling it (CPU steal) then dominates and varies
+/// the measured latency. On one CPU a hand-off is a context switch, so
+/// the latencies measure the program's own work.
+fn pin_to_one_cpu() -> std::io::Result<usize> {
+    // `cpu_set_t` of glibc: a bitmask of 1024 CPUs.
+    type CpuSet = [u64; 16];
+    extern "C" {
+        fn sched_getaffinity(pid: i32, size: usize, mask: *mut CpuSet) -> i32;
+        fn sched_setaffinity(pid: i32, size: usize, mask: *const CpuSet) -> i32;
+    }
+    let size = std::mem::size_of::<CpuSet>();
+    let mut allowed: CpuSet = [0; 16];
+    // SAFETY: `allowed` is a writable `cpu_set_t`-sized buffer.
+    if unsafe { sched_getaffinity(0, size, &mut allowed) } != 0 {
+        return Err(std::io::Error::last_os_error());
+    }
+    let cpu = (0..size * 8)
+        .find(|&c| allowed[c / 64] >> (c % 64) & 1 == 1)
+        .ok_or_else(|| std::io::Error::other("no CPU in the affinity mask"))?;
+    let mut one: CpuSet = [0; 16];
+    one[cpu / 64] = 1 << (cpu % 64);
+    // SAFETY: `one` is a readable `cpu_set_t`-sized buffer.
+    if unsafe { sched_setaffinity(0, size, &one) } != 0 {
+        return Err(std::io::Error::last_os_error());
+    }
+    Ok(cpu)
+}
+
+fn run(args: &Args, cpu: usize) -> Result<(), plasma::PlasmaError> {
     let t = Instant::now();
     let inputs = Inputs::generate(args.workload, args.seed, args.seconds);
     println!(
-        "storebench workload={} seed={} seconds={} trace={} schedule_digest={:016x} inputs_s={:.3}",
+        "storebench workload={} seed={} seconds={} trace={} cpu={cpu} schedule_digest={:016x} inputs_s={:.3}",
         args.workload.name(),
         args.seed,
         args.seconds,
@@ -112,7 +155,7 @@ fn run(args: &Args) -> Result<(), plasma::PlasmaError> {
         inputs.digest,
         t.elapsed().as_secs_f64()
     );
-    let (warm, det_steps, block) = plan(args.workload);
+    let (warm, det_steps, block, window_blocks) = plan(args.workload);
     let mut report = Report::new(&inputs);
 
     let mut last = None;
@@ -165,12 +208,21 @@ fn run(args: &Args) -> Result<(), plasma::PlasmaError> {
     let t0 = Instant::now();
     let budget = Duration::from_secs(args.seconds);
     let mut blocks = 0u64;
+    let mut wsteal = steal0;
     while t0.elapsed() < budget && h.remaining() > 0 {
         tr.on = args.trace && blocks % 2 == 1;
         h.steps(block, &mut tr, &mut timed);
         blocks += 1;
         if blocks.is_multiple_of(4) {
             report.threads_peak = report.threads_peak.max(metrics::proc_threads());
+        }
+        if blocks.is_multiple_of(window_blocks) {
+            let s = metrics::host_steal();
+            report
+                .window_steal
+                .push(per(s.0 - wsteal.0, s.1 - wsteal.1));
+            wsteal = s;
+            timed.window += 1;
         }
     }
     tr.on = false;

@@ -285,6 +285,44 @@ fn mean(v: &[u64]) -> f64 {
     per(v.iter().sum(), v.len() as u64)
 }
 
+/// Share of windows dropped from each end before averaging window medians.
+const WINDOW_TRIM: f64 = 0.1;
+
+/// Sorted p50s of the windows below `windows` (the whole ones);
+/// `samples` yields `(window, value)`.
+fn window_p50s(samples: impl Iterator<Item = (u32, u64)>, windows: usize) -> Vec<f64> {
+    let mut per_window = vec![Vec::new(); windows];
+    for (w, v) in samples {
+        if let Some(s) = per_window.get_mut(w as usize) {
+            s.push(v);
+        }
+    }
+    let mut p50s: Vec<f64> = per_window
+        .into_iter()
+        .filter(|s| !s.is_empty())
+        .map(|mut s| {
+            s.sort_unstable();
+            pct(&s, 50.0) as f64
+        })
+        .collect();
+    p50s.sort_by(f64::total_cmp);
+    p50s
+}
+
+/// Mean of sorted window p50s, the highest and lowest `WINDOW_TRIM` of
+/// windows left out. The host's speed drifts between levels over
+/// seconds, and a p50 over the whole run flips between those levels as
+/// their mix crosses one half; this mean moves with the mix in
+/// proportion instead.
+fn trimmed_mean(sorted: &[f64]) -> f64 {
+    let cut = (sorted.len() as f64 * WINDOW_TRIM) as usize;
+    let kept = &sorted[cut..sorted.len() - cut];
+    if kept.is_empty() {
+        return 0.0;
+    }
+    kept.iter().sum::<f64>() / kept.len() as f64
+}
+
 // ----------------------------------------------------------------- report
 
 pub struct Report {
@@ -296,6 +334,8 @@ pub struct Report {
     pub cpu: Cpu,
     /// Share of all CPUs' time the host stole during the timed phase.
     pub host_steal_share: f64,
+    /// Host steal share in each whole timed window.
+    pub window_steal: Vec<f64>,
     pub threads_peak: u64,
     pub peak_rss_mib: f64,
     pub layer_totals: LayerTotals,
@@ -320,6 +360,7 @@ impl Report {
             timed_s: 0.0,
             cpu: Cpu::default(),
             host_steal_share: 0.0,
+            window_steal: Vec::new(),
             threads_peak: 0,
             peak_rss_mib: 0.0,
             layer_totals: LayerTotals::default(),
@@ -358,6 +399,30 @@ impl Report {
         )
     }
 
+    /// Window p50s of the untraced timed ops of `kind`.
+    fn wall_windows(&self, kind: OpKind) -> Vec<f64> {
+        window_p50s(
+            self.timed
+                .ops
+                .iter()
+                .filter(|o| o.kind == kind && !o.traced)
+                .map(|o| (o.window, o.wall_ns)),
+            self.window_steal.len(),
+        )
+    }
+
+    /// Window p50s of the untraced timed rounds.
+    fn round_windows(&self) -> Vec<f64> {
+        window_p50s(
+            self.timed
+                .rounds
+                .iter()
+                .filter(|r| !r.traced)
+                .map(|r| (r.window, r.wall_ns)),
+            self.window_steal.len(),
+        )
+    }
+
     fn det(&self) -> &Det {
         self.dets.last().expect("a deterministic window ran")
     }
@@ -370,24 +435,18 @@ impl Report {
         let (local, remote) = self.primary();
         let det = self.det();
         let modeled_remote = det.virt(remote);
-        let rounds = sorted(
-            self.timed
-                .rounds
-                .iter()
-                .filter(|r| !r.traced)
-                .map(|r| r.wall_ns),
-        );
+        let rounds = trimmed_mean(&self.round_windows());
         let modeled_rounds = sorted(det.rounds.iter().copied());
         vec![
             ("setup_s".into(), median(&self.setup_s), "s"),
             (
                 "local_p50_us".into(),
-                pct(&self.wall(local, false), 50.0) as f64 / 1e3,
+                trimmed_mean(&self.wall_windows(local)) / 1e3,
                 "us",
             ),
             (
                 "remote_p50_us".into(),
-                pct(&self.wall(remote, false), 50.0) as f64 / 1e3,
+                trimmed_mean(&self.wall_windows(remote)) / 1e3,
                 "us",
             ),
             (
@@ -400,7 +459,7 @@ impl Report {
                 tail(&modeled_remote).map_or(0.0, |t| t.1 as f64 / 1e3),
                 "us",
             ),
-            ("round_p50_ms".into(), pct(&rounds, 50.0) as f64 / 1e6, "ms"),
+            ("round_p50_ms".into(), rounds / 1e6, "ms"),
             (
                 "modeled_round_p50_ms".into(),
                 pct(&modeled_rounds, 50.0) as f64 / 1e6,
@@ -647,6 +706,29 @@ impl Report {
                 tv as f64 / 1e3,
                 v.len(),
                 det.rpcs_per(kind)
+            );
+        }
+        let (local, remote) = self.primary();
+        let mut steal = self.window_steal.clone();
+        steal.sort_by(f64::total_cmp);
+        println!(
+            "windows: {} whole; host steal per window min {:.1}% p50 {:.1}% max {:.1}%",
+            steal.len(),
+            100.0 * steal.first().unwrap_or(&0.0),
+            100.0 * median(&steal),
+            100.0 * steal.last().unwrap_or(&0.0),
+        );
+        for (name, w, scale, unit) in [
+            ("local", self.wall_windows(local), 1e3, "us"),
+            ("remote", self.wall_windows(remote), 1e3, "us"),
+            ("round", self.round_windows(), 1e6, "ms"),
+        ] {
+            println!(
+                "  {name:<6} window p50s: min {:.3}{unit} p50 {:.3}{unit} max {:.3}{unit}; trimmed mean {:.3}{unit}",
+                w.first().unwrap_or(&0.0) / scale,
+                median(&w) / scale,
+                w.last().unwrap_or(&0.0) / scale,
+                trimmed_mean(&w) / scale,
             );
         }
         let rounds = sorted(

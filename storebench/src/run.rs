@@ -81,6 +81,8 @@ pub struct OpRec {
     /// rpclite calls the op caused (deterministic window only).
     pub rpcs: u32,
     pub traced: bool,
+    /// Timed-phase window the op ran in (see `Rec::window`).
+    pub window: u32,
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -88,6 +90,7 @@ pub struct RoundRec {
     pub wall_ns: u64,
     pub virt_ns: u64,
     pub traced: bool,
+    pub window: u32,
 }
 
 /// One allocation event at a store, for the allocator replay.
@@ -115,6 +118,10 @@ pub struct Rec {
     pub count_rpcs: bool,
     pub alloc_trace: Option<Vec<AllocEvent>>,
     pub round_start: Option<(Instant, Duration, bool)>,
+    /// Index of the current timed-phase window: the wall metrics average
+    /// per-window medians, so a spell of slow host skews only the windows
+    /// it falls in.
+    pub window: u32,
 }
 
 impl Rec {
@@ -275,6 +282,7 @@ impl<'i> Harness<'i> {
                     wall_ns: w0.elapsed().as_nanos() as u64,
                     virt_ns: (self.clock().now() - v0).as_nanos() as u64,
                     traced: traced || tr.on,
+                    window: rec.window,
                 });
             }
         }
@@ -321,6 +329,7 @@ impl<'i> Harness<'i> {
                     virt_ns,
                     rpcs,
                     traced: tr.on,
+                    window: rec.window,
                 });
             }
             Err(e) => {
