@@ -21,7 +21,7 @@ use plasma::{
     AllocatorKind, ClientCost, Notifications, ObjectId, PlasmaClient, PlasmaError, PlasmaServer,
     StoreConfig, StoreCore,
 };
-use rpclite::{ClientMetrics, NetCost, RpcClient, ServerHandle};
+use rpclite::{ClientMetrics, NetCost, RpcClient, ServerHandle, ServerMetrics};
 use std::sync::Arc;
 use tfsim::{Clock, ClockMode, CostModel, Fabric, NodeId};
 
@@ -364,6 +364,12 @@ impl Cluster {
     /// Whether node `i`'s interconnect RPC server is currently running.
     pub fn rpc_running(&self, i: usize) -> bool {
         self.nodes[i].rpc_server.is_some()
+    }
+
+    /// Counters of node `i`'s interconnect RPC server (`None` while it
+    /// is stopped): calls served, handler threads spawned, duplicates.
+    pub fn rpc_server_metrics(&self, i: usize) -> Option<&ServerMetrics> {
+        self.nodes[i].rpc_server.as_ref().map(ServerHandle::metrics)
     }
 
     /// Connect a new Plasma client to the store on node `store_idx`,

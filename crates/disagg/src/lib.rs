@@ -162,6 +162,119 @@ mod tests {
     }
 
     #[test]
+    fn leaf_verbs_run_inline_and_delete_spawns_one_handler() {
+        use std::sync::atomic::Ordering::Relaxed;
+        let c = two_nodes();
+        let owner = c.client(0).unwrap();
+        let reader = c.client(1).unwrap();
+        let id = ObjectId::from_name(&c.owned_id(0, "leaf"));
+        owner.put(id, b"payload", &[]).unwrap();
+        let spawned = |i: usize| {
+            c.rpc_server_metrics(i)
+                .unwrap()
+                .handler_threads
+                .load(Relaxed)
+        };
+
+        // Remote gets are GET_MANY + RELEASE: leaf verbs, served on the
+        // connection thread with no handler thread spawned.
+        for _ in 0..20 {
+            let buf = reader.get_one(id, Duration::from_secs(1)).unwrap();
+            assert_eq!(buf.data().path(), Path::Remote);
+            reader.release(id).unwrap();
+        }
+        assert!(c.rpc_server_metrics(0).unwrap().calls.load(Relaxed) >= 40);
+        assert_eq!((spawned(0), spawned(1)), (0, 0));
+
+        // A forwarded DELETE may chase replicas or a lent copy on a
+        // third node, so it keeps a handler thread of its own.
+        reader.delete(id).unwrap();
+        assert_eq!((spawned(0), spawned(1)), (1, 0));
+    }
+
+    #[test]
+    fn a_call_that_pulls_membership_takes_a_handler_thread() {
+        use std::sync::atomic::Ordering::Relaxed;
+        let c = two_nodes();
+        let owner = c.client(0).unwrap();
+        let reader = c.client(1).unwrap();
+        let id = ObjectId::from_name(&c.owned_id(0, "epoch"));
+        owner.put(id, b"payload", &[]).unwrap();
+        let spawned = || {
+            c.rpc_server_metrics(0)
+                .unwrap()
+                .handler_threads
+                .load(Relaxed)
+        };
+        let members = vec![c.node_id(0), c.node_id(1)];
+        let epoch = c.store(0).ring_epoch() + 1;
+        c.store(1).set_membership(Membership::new(epoch, members));
+
+        // The first GET_MANY gossips a newer epoch, so its handler pulls
+        // MEMBERSHIP back from the reader: it gets a thread. Once the
+        // owner has adopted the epoch, gets are leaf calls again.
+        for _ in 0..5 {
+            reader.get_one(id, Duration::from_secs(1)).unwrap();
+            reader.release(id).unwrap();
+        }
+        assert_eq!(c.store(0).ring_epoch(), epoch);
+        assert_eq!(spawned(), 1);
+    }
+
+    #[test]
+    fn membership_pulls_between_nodes_at_different_epochs_complete() {
+        // GET_MANY, CREATE_AT and SEAL_AT pull MEMBERSHIP back from a
+        // requester gossiping a newer epoch. Put the two stores at
+        // different epochs (the one ahead alternates per round) and have
+        // each call the other concurrently: every call must complete,
+        // none by deadline.
+        let c = two_nodes();
+        let members = vec![c.node_id(0), c.node_id(1)];
+        let sealed: Vec<Vec<ObjectId>> = (0..2)
+            .map(|i| {
+                let client = c.client(i).unwrap();
+                c.owned_ids(i, "sealed", 4)
+                    .iter()
+                    .map(|name| client.put(ObjectId::from_name(name), b"v", &[]).unwrap())
+                    .collect()
+            })
+            .collect();
+        for round in 0..6u64 {
+            let epoch = round + 2;
+            let ahead = (round % 2) as usize;
+            let behind = 1 - ahead;
+            c.store(ahead)
+                .set_membership(Membership::new(epoch, members.clone()));
+            assert!(c.store(behind).ring_epoch() < epoch);
+            let barrier = std::sync::Barrier::new(2);
+            std::thread::scope(|s| {
+                for from in 0..2 {
+                    let (c, sealed, barrier) = (&c, &sealed, &barrier);
+                    s.spawn(move || {
+                        let other = 1 - from;
+                        let client = c.client(from).unwrap();
+                        let fresh = c.owned_ids(other, &format!("fresh/{round}/{from}"), 4);
+                        barrier.wait();
+                        for (id, name) in sealed[other].iter().zip(&fresh) {
+                            let buf = client.get_one(*id, Duration::from_secs(5)).unwrap();
+                            assert_eq!(buf.read_all().unwrap(), b"v");
+                            client.release(*id).unwrap();
+                            client.put(ObjectId::from_name(name), b"w", &[]).unwrap();
+                        }
+                    });
+                }
+            });
+            assert_eq!(c.store(0).ring_epoch(), epoch);
+            assert_eq!(c.store(1).ring_epoch(), epoch);
+        }
+        for i in 0..2 {
+            let snap = c.store(i).metrics_snapshot();
+            let key = format!("rpc.client.store-{}.deadline_expired", 1 - i);
+            assert_eq!(snap.counter(&key), 0, "node {i}: {key}");
+        }
+    }
+
+    #[test]
     fn delete_of_missing_object_errors_everywhere() {
         let c = two_nodes();
         let b = c.client(1).unwrap();

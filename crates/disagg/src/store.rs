@@ -1507,18 +1507,40 @@ impl DisaggStore {
     /// a broadcast with one hung peer costs one deadline — not one per
     /// position in a serial loop.
     fn fanout<T: Send>(&self, peers: &[Peer], f: impl Fn(&Peer) -> T + Sync) -> Vec<T> {
-        match peers {
-            [] => Vec::new(),
-            [only] => vec![f(only)],
-            _ => std::thread::scope(|s| {
-                let f = &f;
-                let handles: Vec<_> = peers.iter().map(|peer| s.spawn(move || f(peer))).collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("peer fan-out thread panicked"))
-                    .collect()
-            }),
+        if let [only] = peers {
+            return vec![f(only)];
         }
+        // The calls start together once every thread is up. Their modeled
+        // round trips overlap on a virtual clock only if each is sent
+        // before the first completes, and a peer can answer faster than
+        // the next thread spawns. (A `Barrier` would hang the threads
+        // already spawned if a later spawn panicked; this gate opens as
+        // the panic unwinds.)
+        let gate = RwLock::new(());
+        let (up_tx, up_rx) = std::sync::mpsc::channel();
+        let (f, gate) = (&f, &gate);
+        std::thread::scope(|s| {
+            let closed = gate.write();
+            let handles: Vec<_> = peers
+                .iter()
+                .map(|peer| {
+                    let up = up_tx.clone();
+                    s.spawn(move || {
+                        let _ = up.send(());
+                        drop(gate.read());
+                        f(peer)
+                    })
+                })
+                .collect();
+            for _ in peers {
+                let _ = up_rx.recv();
+            }
+            drop(closed);
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("peer fan-out thread panicked"))
+                .collect()
+        })
     }
 
     /// Migrate a remote object into this node's local store (locality
@@ -2845,6 +2867,43 @@ struct Interconnect {
 }
 
 impl Service for Interconnect {
+    /// Which calls run inline on the rpclite connection thread: every
+    /// call whose handler never waits on another node.
+    ///
+    /// DELETE and DELETE_DEFERRED (`invalidate_replicas`,
+    /// `delete_at_holder`), SPILL_AT and REPLICATE_AT (`data_plane.pull`)
+    /// can wait on a third node, so they always keep a handler thread of
+    /// their own.
+    ///
+    /// GET_MANY, CREATE_AT, SEAL_AT and ABORT_AT call `maybe_adopt_epoch`,
+    /// which pulls MEMBERSHIP back from a requester gossiping a newer
+    /// epoch. Such a call runs inline only if its epoch is not newer than
+    /// this node's at dispatch: epochs never decrease, so its handler
+    /// then cannot pull. A call that will pull gets a handler thread.
+    /// Pulling from the connection thread could deadlock until a call
+    /// deadline: B's connection thread serves A's GET_MANY and pulls
+    /// from A, but B's epoch rises meanwhile and another B thread sends A
+    /// a GET_MANY ahead of the pull. A's connection thread serves that
+    /// one by pulling from B, queued behind the GET_MANY B still serves,
+    /// while B's pull is queued behind the GET_MANY A serves.
+    ///
+    /// Every other verb is a leaf that reads or updates local state only.
+    fn runs_inline(&self, method_id: u32, request: &Bytes) -> bool {
+        let gossiped_epoch = match method_id {
+            method::DELETE | method::DELETE_DEFERRED | method::SPILL_AT | method::REPLICATE_AT => {
+                return false
+            }
+            method::GET_MANY => GetManyReq::decode(request.clone()).map(|r| r.epoch),
+            method::CREATE_AT => CreateAtReq::decode(request.clone()).map(|r| r.epoch),
+            method::SEAL_AT | method::ABORT_AT => {
+                ForwardReq::decode(request.clone()).map(|r| r.epoch)
+            }
+            _ => return true,
+        };
+        // A request that does not decode gets its error from `call`.
+        gossiped_epoch.is_ok_and(|epoch| epoch <= self.store.ring_epoch())
+    }
+
     fn call(&self, method_id: u32, request: Bytes) -> Result<Bytes, Status> {
         let inner = &self.store.inner;
         match method_id {

@@ -1,22 +1,31 @@
 //! RPC server: accept loop + per-connection concurrent servicing.
 //!
-//! Each accepted connection gets a reader thread that decodes requests
-//! and dispatches every call to its own handler thread; responses are
-//! written back through a mutex-shared clone of the connection (frame
-//! writes are atomic) **in completion order, not arrival order**. This is
-//! what lets a pipelined client keep many correlation-id-tagged requests
-//! in flight: a slow call no longer blocks the responses of faster calls
-//! behind it.
+//! Each accepted connection gets a thread that receives and decodes
+//! requests, drops duplicated frames, and then serves each call one of
+//! two ways, as the [`Service`] decides per call:
+//!
+//! * **Inline** ([`Service::runs_inline`]): the connection thread runs
+//!   the call and writes its response before reading the next frame. No
+//!   thread is spawned, so a leaf call costs no thread creation, but
+//!   inline calls on one connection serialize.
+//! * **Spawned** (the default): the call gets its own handler thread,
+//!   and the connection thread goes straight back to reading. A slow
+//!   call then does not hold back the calls queued behind it.
+//!
+//! Responses are written back through a mutex-shared clone of the
+//! connection (frame writes are atomic) **in completion order, not
+//! arrival order**. This is what lets a pipelined client keep many
+//! correlation-id-tagged requests in flight.
 //!
 //! Connection threads poll the server's stop flag between requests and
 //! join their outstanding handlers on exit, so
 //! [`ServerHandle::shutdown`] tears the whole server down deterministically
-//! — after it returns, no handler is running and no response will be
-//! written. Failure-injection tests rely on this to stop a peer node and
-//! know it is really gone.
+//! — after it returns, no call (inline or spawned) is running and no
+//! response will be written. Failure-injection tests rely on this to
+//! stop a peer node and know it is really gone.
 
 use crate::envelope::{Request, Response, FRAME_REQUEST};
-use crate::service::{Service, Status};
+use crate::service::Service;
 use ipc::{Listener, StopHandle};
 use parking_lot::Mutex;
 use std::io;
@@ -76,8 +85,12 @@ impl SeenCalls {
 pub struct ServerMetrics {
     /// Requests decoded and dispatched to the service.
     pub calls: AtomicU64,
-    /// Calls that returned an error status (plus undecodable requests).
+    /// Calls that returned an error status, plus undecodable requests
+    /// (each of which also drops its connection).
     pub errors: AtomicU64,
+    /// Handler threads spawned for calls the service does not run
+    /// inline (see [`Service::runs_inline`]).
+    pub handler_threads: AtomicU64,
     /// Connections accepted over the server's lifetime.
     pub connections: AtomicU64,
     /// Duplicated request frames dropped without execution (a faulty
@@ -178,6 +191,20 @@ pub fn serve(mut listener: Box<dyn Listener>, service: Arc<dyn Service>) -> Serv
     }
 }
 
+/// Execute one decoded request against `service`, counting the call and
+/// any error status.
+fn execute(service: &dyn Service, metrics: &ServerMetrics, req: Request) -> Response {
+    metrics.calls.fetch_add(1, Ordering::Relaxed);
+    let result = service.call(req.method, req.body);
+    if result.is_err() {
+        metrics.errors.fetch_add(1, Ordering::Relaxed);
+    }
+    Response {
+        call_id: req.call_id,
+        result,
+    }
+}
+
 fn serve_conn(
     mut conn: Box<dyn ipc::Conn>,
     service: Arc<dyn Service>,
@@ -194,15 +221,16 @@ fn serve_conn(
         return;
     }
     let mut poll = CONN_POLL;
-    // Handlers run concurrently and share the write half of the
+    // Inline calls and spawned handlers share the write half of the
     // connection behind a mutex; frames are written atomically, so
     // responses interleave cleanly in completion order.
     let writer: Arc<Mutex<Box<dyn ipc::Conn>>> = match conn.try_clone() {
         Ok(w) => Arc::new(Mutex::new(w)),
         Err(_) => return,
     };
-    // Per-connection duplicate suppression (see `SeenCalls`).
-    let seen = Arc::new(Mutex::new(SeenCalls::new()));
+    // Per-connection duplicate suppression (see `SeenCalls`). Only this
+    // thread consults it, before any execution starts.
+    let mut seen = SeenCalls::new();
     let mut handlers: Vec<JoinHandle<()>> = Vec::new();
     loop {
         if stop.is_stopped() {
@@ -229,40 +257,34 @@ fn serve_conn(
             // Protocol violation: drop the connection.
             break;
         }
+        let Ok(req) = Request::from_frame(&frame) else {
+            // Corrupt or truncated request: its call id cannot be
+            // trusted, so no response could reach the caller. Dropping
+            // the connection fails the caller's in-flight calls fast
+            // with a retryable transport error instead.
+            metrics.errors.fetch_add(1, Ordering::Relaxed);
+            break;
+        };
+        if !seen.first_sighting(req.call_id) {
+            // Duplicated frame: the original execution's response
+            // answers the client; executing again would double a
+            // non-idempotent call.
+            metrics.duplicates.fetch_add(1, Ordering::Relaxed);
+            continue;
+        }
+        if service.runs_inline(req.method, &req.body) {
+            let response = execute(&*service, &metrics, req);
+            let _ = writer.lock().send(&response.to_frame());
+            continue;
+        }
+        metrics.handler_threads.fetch_add(1, Ordering::Relaxed);
         let svc = Arc::clone(&service);
         let m = Arc::clone(&metrics);
         let w = Arc::clone(&writer);
-        let dedup = Arc::clone(&seen);
         let handle = std::thread::Builder::new()
             .name("rpc-handler".to_string())
             .spawn(move || {
-                let response = match Request::from_frame(&frame) {
-                    Ok(req) => {
-                        if !dedup.lock().first_sighting(req.call_id) {
-                            // Duplicated frame: the original execution's
-                            // response answers the client; executing again
-                            // would double a non-idempotent call.
-                            m.duplicates.fetch_add(1, Ordering::Relaxed);
-                            return;
-                        }
-                        m.calls.fetch_add(1, Ordering::Relaxed);
-                        let result = svc.call(req.method, req.body);
-                        if result.is_err() {
-                            m.errors.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Response {
-                            call_id: req.call_id,
-                            result,
-                        }
-                    }
-                    Err(e) => {
-                        m.errors.fetch_add(1, Ordering::Relaxed);
-                        Response {
-                            call_id: 0,
-                            result: Err(Status::invalid_argument(format!("bad request: {e}"))),
-                        }
-                    }
-                };
+                let response = execute(&*svc, &m, req);
                 let _ = w.lock().send(&response.to_frame());
             })
             .expect("spawn rpc handler thread");

@@ -112,12 +112,25 @@ impl fmt::Display for Status {
 impl std::error::Error for Status {}
 
 /// A unary-call service: decode the request, do the work, encode the reply.
-/// Each call runs synchronously on its own handler thread; calls from one
-/// connection may execute concurrently (the server writes responses back
-/// in completion order, keyed by correlation id).
+/// Each call runs synchronously, by default on its own handler thread, so
+/// calls from one connection may execute concurrently (the server writes
+/// responses back in completion order, keyed by correlation id). A call
+/// the service accepts with [`Service::runs_inline`] runs instead on the
+/// connection thread that received it, and serializes with the other
+/// inline calls of that connection.
 pub trait Service: Send + Sync {
     /// Handle one unary call.
     fn call(&self, method: MethodId, request: Bytes) -> Result<Bytes, Status>;
+
+    /// Whether this call may run inline on the connection thread instead
+    /// of a handler thread of its own. Answer yes only for a call that is
+    /// short and never waits on another call that could queue behind it
+    /// on the same connection: the connection reads no further request
+    /// until an inline call has answered. `request` is the call's body,
+    /// for services whose answer depends on it.
+    fn runs_inline(&self, _method: MethodId, _request: &Bytes) -> bool {
+        false
+    }
 }
 
 /// Blanket impl so closures can serve as services in tests.
